@@ -4,12 +4,13 @@ import repro.core.ir.Ir._
 import repro.core.ir.{Canon, Sql}
 
 /** Signature-based equivalence detection (the CloudViews / Jindal et al.
-  * [32] baseline of §7.5): a Merkle-style hash over the subexpression's
-  * syntactic form. Aliases are normalized by first appearance, atoms and
-  * syntactic conjuncts are sorted — the usual engine-side normalization —
-  * but predicate *syntax* is hashed as written, so only syntactically
-  * identical computations (modulo ordering) collide. Semantic equivalences
-  * with different spellings are missed by design.
+  * [32] baseline of §7.5): a canonical serialization of the
+  * subexpression's syntactic form, compared whole. Aliases are normalized
+  * by first appearance, atoms and syntactic conjuncts are sorted — the
+  * usual engine-side normalization — but predicate *syntax* is serialized
+  * as written, so only syntactically identical computations (modulo
+  * ordering) match. Semantic equivalences with different spellings are
+  * missed by design.
   */
 object Signature {
 
@@ -34,14 +35,5 @@ object Signature {
     s"T[$tables]|P[$preds]|π[$proj]"
   }
 
-  /** Merkle-style 128-bit signature of the canonical serialization. */
-  def hash(p: Plan): (Long, Long) = {
-    val s = of(p)
-    var h1 = 1125899906842597L
-    var h2 = -7046029254386353131L
-    s.foreach { c => h1 = 31 * h1 + c; h2 = 131 * h2 + c }
-    (h1, h2)
-  }
-
-  def equivalent(p: Plan, q: Plan): Boolean = hash(p) == hash(q) && of(p) == of(q)
+  def equivalent(p: Plan, q: Plan): Boolean = of(p) == of(q)
 }

@@ -41,35 +41,27 @@ final class GEqO(val emf: Emf, val vmf: Vmf, val verifier: Verifier,
     val n = workload.size
     val totalPairs = n.toLong * (n - 1) / 2
 
-    // Shared O(n) instance encodings (§4.2.1's fast path).
+    // Shared O(n) instance encodings (§4.2.1's fast path); only the VMF and
+    // the EMF read them.
     val instEnc: IndexedSeq[EncodedPlan] =
-      workload.map(NodeVector.encodeInstance(_, inst))
+      if (useVmf || useEmf) workload.map(NodeVector.encodeInstance(_, inst))
+      else IndexedSeq.empty
 
     // --- SF ---------------------------------------------------------------
+    // Groups are ascending index lists, so every pair below has i < j.
     val t0 = System.nanoTime()
     val groups: Vector[Vector[Int]] =
       if (useSf) SchemaFilter.groups(workload) else Vector(workload.indices.toVector)
     val afterSf = groups.map(g => g.size.toLong * (g.size - 1) / 2).sum
-    val sfPairs = groups.flatMap(g =>
-      for { a <- g.indices; b <- (a + 1) until g.size } yield {
-        val (i, j) = (g(a), g(b)); if (i < j) (i, j) else (j, i)
-      })
+    val sfPairs = groups.flatMap(SchemaFilter.groupPairs)
     val sfNanos = System.nanoTime() - t0
 
     // --- VMF --------------------------------------------------------------
     val t1 = System.nanoTime()
-    val vmfPairs: Vector[(Int, Int)] = groups.flatMap { g =>
-      if (useVmf) {
-        val groupEnc = g.map(instEnc)
-        vmf.candidatePairs(groupEnc, inst).map { case (a, b) =>
-          val (i, j) = (g(a), g(b)); if (i < j) (i, j) else (j, i)
-        }
-      } else {
-        for { a <- g.indices.toVector; b <- (a + 1) until g.size } yield {
-          val (i, j) = (g(a), g(b)); if (i < j) (i, j) else (j, i)
-        }
-      }
-    }
+    val vmfPairs: Vector[(Int, Int)] =
+      if (useVmf)
+        groups.flatMap(g => vmf.candidatePairs(g.map(instEnc), inst).map { case (a, b) => (g(a), g(b)) })
+      else sfPairs
     val vmfNanos = System.nanoTime() - t1
 
     // --- EMF --------------------------------------------------------------
@@ -95,10 +87,9 @@ final class GEqO(val emf: Emf, val vmf: Vmf, val verifier: Verifier,
       sfPairs, vmfPairs, emfPairs)
   }
 
-  /** GEqO_PAIR (Equation 2): short-circuiting pairwise decision. */
+  /** GEqO_PAIR (Equation 2): the cascade on the two-plan workload, which
+    * short-circuits exactly as the pairwise chain SF → VMF → EMF → AV.
+    */
   def equivalentPair(p: Plan, q: Plan): Boolean =
-    SchemaFilter.admits(p, q) &&
-      vmf.admits(p, q, inst) &&
-      emf.predictProb(p, q, inst) >= emfThreshold &&
-      verifier.equivalent(p, q)
+    equivalenceSet(Vector(p, q)).equivalences.nonEmpty
 }

@@ -91,8 +91,6 @@ object Canon {
   /** Flattened SPJ normal form: inner joins dissolve into the conjunct set. */
   final case class Flat(atoms: Seq[Scan], conjuncts: Vector[NormPred], proj: Seq[ColRef]) {
     def tableMultiset: Seq[String] = atoms.map(_.table).sorted
-    /** Distinct normalized conjuncts, deterministic order. */
-    def conjunctSet: Vector[NormPred] = conjuncts.distinct.sortBy(_.key)
   }
 
   def flatten(p: Plan): Flat = {

@@ -25,8 +25,13 @@ object SchemaFilter {
       .toVector
       .sortBy(_.head)
 
+  /** Every pair of a group's members, row-major; (i, j) has i < j when the
+    * group is ascending, as `groups` returns them.
+    */
+  def groupPairs(g: Vector[Int]): Vector[(Int, Int)] =
+    for { a <- g.indices.toVector; b <- (a + 1) until g.size } yield (g(a), g(b))
+
   /** All intra-group unordered pairs (i < j). */
   def candidatePairs(workload: IndexedSeq[Plan]): Vector[(Int, Int)] =
-    groups(workload).flatMap(g =>
-      for { a <- g.indices; b <- (a + 1) until g.size } yield (g(a), g(b)))
+    groups(workload).flatMap(groupPairs)
 }

@@ -70,11 +70,4 @@ class SignatureSpec extends AnyFunSuite {
         Scan("lineitem", "a0", Seq("l_quantity"))))
     assert(!Signature.equivalent(mk(5), mk(6)))
   }
-
-  test("hash collisions are guarded by full-string comparison") {
-    val p = Project(Seq(ColRef("a0", "l_quantity")),
-      Scan("lineitem", "a0", Seq("l_quantity")))
-    assert(Signature.hash(p) == Signature.hash(p))
-    assert(Signature.of(p).nonEmpty)
-  }
 }

@@ -5,8 +5,9 @@ import repro.core.emf.Emf
 import repro.core.encode.{EncoderConfig, NodeVector}
 import repro.core.ir.Catalogs
 import repro.core.sf.SchemaFilter
-import repro.gen.Workloads
+import repro.gen.{QueryGen, Rewrites, Workloads}
 import repro.verifier.Verifier
+import scala.util.Random
 
 class VmfSpec extends AnyFunSuite {
 
@@ -49,20 +50,29 @@ class VmfSpec extends AnyFunSuite {
       s"VMF TNR ${rejected.toDouble / pairs.size} (tau=$tau)")
   }
 
-  test("candidatePairs brute-force and HNSW paths agree closely") {
+  test("candidatePairs is exact radius search on a 120-plan group") {
     val vmf = new Vmf(emf, tau)
-    val es = Workloads.evalWorkload(Catalogs.tpchLite, nSubexprs = 90, nClasses = 10, seed = 25)
-    val groups = SchemaFilter.groups(es.subexprs)
-    val big = groups.maxBy(_.size)
-    val enc = big.map(i => NodeVector.encodeInstance(es.subexprs(i), cfg))
-    val brute = vmf.candidatePairs(enc, cfg, bruteForceBelow = Int.MaxValue).toSet
-    val hnsw  = vmf.candidatePairs(enc, cfg, bruteForceBelow = 0).toSet
-    // HNSW is approximate: it must find most of the brute-force pairs and
-    // may not invent pairs outside the radius.
-    hnsw.foreach(p => assert(brute.contains(p), s"HNSW returned out-of-radius pair $p"))
-    if (brute.nonEmpty)
-      assert((brute & hnsw).size.toDouble / brute.size > 0.7,
-        s"HNSW found ${(brute & hnsw).size}/${brute.size}")
+    val rng = new Random(28)
+    val base = QueryGen.assemble(QueryGen.baseSpec(Catalogs.tpchLite, rng), rng)
+    val group = base +: Vector.fill(119)(Rewrites.variant(base, rng, heavy = rng.nextBoolean()))
+    assert(SchemaFilter.groups(group).size == 1, "variants share the base's SF group")
+    val enc = group.map(NodeVector.encodeInstance(_, cfg))
+    val embs = vmf.embedGroup(enc, cfg)
+    def dist(a: Array[Double], b: Array[Double]) =
+      math.sqrt(a.indices.foldLeft(0.0)((s, k) => s + (a(k) - b(k)) * (a(k) - b(k))))
+    val inRadius = for {
+      i <- embs.indices; j <- (i + 1) until embs.size
+      if dist(embs(i), embs(j)) <= tau
+    } yield (i, j)
+    // Some plan has more in-radius neighbours than a 48-wide kNN beam returns.
+    val degree = inRadius.flatMap { case (i, j) => Seq(i, j) }.groupBy(identity)
+      .values.map(_.size).maxOption.getOrElse(0)
+    assert(degree > 48, s"largest in-radius neighbourhood $degree")
+    val found = vmf.candidatePairs(enc, cfg)
+    val (missed, extra) = ((inRadius.toSet -- found).size, (found.toSet -- inRadius).size)
+    assert(missed == 0 && extra == 0,
+      s"missed $missed, extra $extra of ${inRadius.size} in-radius pairs")
+    assert(found == inRadius.toVector, "pairs come once each, in row-major order")
   }
 
   test("candidatePairs finds the planted equivalences within groups") {
@@ -71,9 +81,7 @@ class VmfSpec extends AnyFunSuite {
     val groups = SchemaFilter.groups(es.subexprs)
     val found = groups.flatMap { g =>
       val enc = g.map(i => NodeVector.encodeInstance(es.subexprs(i), cfg))
-      vmf.candidatePairs(enc, cfg).map { case (a, b) =>
-        val (i, j) = (g(a), g(b)); if (i < j) (i, j) else (j, i)
-      }
+      vmf.candidatePairs(enc, cfg).map { case (a, b) => (g(a), g(b)) }
     }.toSet
     val recall = (found & es.truth).size.toDouble / math.max(1, es.truth.size)
     assert(recall > 0.8, s"VMF group recall $recall")
