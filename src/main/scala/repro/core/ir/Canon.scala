@@ -49,7 +49,6 @@ object Canon {
     */
   final case class NormPred(coefs: List[(ColRef, Double)], const: Double, op: NOp) {
     def cols: Set[ColRef] = coefs.map(_._1).toSet
-    def linForm: Lin = Lin(coefs.toMap, const)
 
     /** True when this is a difference-logic constraint the DBM prover and
       * the stochastic renderer handle: ≤ 2 columns with ±1 coefficients, of

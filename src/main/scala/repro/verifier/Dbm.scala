@@ -1,5 +1,6 @@
 package repro.verifier
 
+import java.util.concurrent.atomic.AtomicLong
 import repro.core.ir.Ir.ColRef
 import repro.core.ir.Canon.{NEq, NLe, NLt, NormPred}
 
@@ -11,7 +12,9 @@ import repro.core.ir.Canon.{NEq, NLe, NLt, NormPred}
   * SPES + Z3; see DESIGN.md "Substitutions"). Bounds carry strictness, and
   * Floyd–Warshall closure detects negative (or zero-weight strict) cycles —
   * sound and complete for this constraint class over ℝ, which is exactly the
-  * class the workload generator emits.
+  * class the workload generator emits. A closed, satisfiable DBM holds the
+  * tightest entailed bound for every pair of variables (its canonical form),
+  * so entailment is a lookup ([[entails]]).
   */
 final class Dbm private (val vars: IndexedSeq[ColRef]) {
   // Index 0 is the implicit ZERO variable; variable i is vars(i - 1).
@@ -25,48 +28,43 @@ final class Dbm private (val vars: IndexedSeq[ColRef]) {
 
   @inline private def at(u: Int, v: Int): Int = u * n + v
 
+  /** Variable index of `c`, −1 for a column absent from the system. */
+  private def index(c: ColRef): Int = idx.getOrElse(c, -1)
+
   private def tighten(u: Int, v: Int, c: Double, s: Boolean): Unit = {
     val i = at(u, v)
     if (c < w(i) || (c == w(i) && s)) { w(i) = c; strict(i) = s }
   }
 
-  /** Assert `np` (must be in difference form). */
-  def add(np: NormPred): Unit = {
+  /** `np` (with columns, in difference form) as edges `(u, v, c, strict)`,
+    * each `u − v ⊲ c` over variable [[index]]es; an `=` gives both `≤` edges.
+    */
+  private def edges(np: NormPred): List[(Int, Int, Double, Boolean)] = {
     val s = np.op == NLt
     np.coefs match {
-      case Nil =>
-        // Constant predicate `c ⊲ 0`.
-        val holds = np.op match {
-          case NLt => np.const < 0
-          case NLe => np.const <= 0
-          case NEq => np.const == 0
-        }
-        if (!holds) contradiction = true
       case (x, a) :: Nil =>
-        val xi = idx(x)
-        np.op match {
-          case NEq =>
-            // a·x + c = 0 ⇒ x = -c/a; a ∈ {±1}
-            val v = -np.const / a
-            tighten(xi, 0, v, s = false); tighten(0, xi, -v, s = false)
-          case _ =>
-            // a=+1:  x − 0 ⊲ −c ;  a=−1:  0 − x ⊲ −c
-            if (a > 0) tighten(xi, 0, -np.const, s) else tighten(0, xi, -np.const, s)
-        }
+        // a·x + c ⊲ 0 with a ∈ {±1}:  a=+1: x − 0 ⊲ −c ;  a=−1: 0 − x ⊲ −c
+        val xi = index(x)
+        if (np.op == NEq) { val v = -np.const / a; List((xi, 0, v, false), (0, xi, -v, false)) }
+        else if (a > 0) List((xi, 0, -np.const, s))
+        else List((0, xi, -np.const, s))
       case (x, a) :: (y, _) :: Nil =>
-        val (u, v) = if (a > 0) (idx(x), idx(y)) else (idx(y), idx(x))
-        np.op match {
-          case NEq =>
-            tighten(u, v, -np.const, s = false); tighten(v, u, np.const, s = false)
-          case _ => tighten(u, v, -np.const, s)
-        }
+        val (u, v) = if (a > 0) (index(x), index(y)) else (index(y), index(x))
+        if (np.op == NEq) List((u, v, -np.const, false), (v, u, np.const, false))
+        else List((u, v, -np.const, s))
       case other =>
         throw new IllegalArgumentException(s"not difference form: $other")
     }
   }
 
+  /** Assert `np` (must be in difference form). */
+  private def add(np: NormPred): Unit =
+    if (np.coefs.isEmpty) contradiction ||= !Dbm.holds(np)
+    else edges(np).foreach { case (u, v, c, s) => tighten(u, v, c, s) }
+
   /** Floyd–Warshall closure; returns this. */
   def close(): Dbm = {
+    Dbm.closures.incrementAndGet()
     var k = 0
     while (k < n) {
       var u = 0
@@ -103,15 +101,37 @@ final class Dbm private (val vars: IndexedSeq[ColRef]) {
   }
 
   /** Closed bound `u − v ≤/< c` between two columns (or a column and the
-    * ZERO var when one side is None). Infinity when unconstrained.
+    * ZERO var when one side is None). Infinity when unconstrained, as for a
+    * column absent from the system.
     */
   def bound(u: Option[ColRef], v: Option[ColRef]): (Double, Boolean) = {
-    val ui = u.fold(0)(idx); val vi = v.fold(0)(idx)
-    (w(at(ui, vi)), strict(at(ui, vi)))
+    val ui = u.fold(0)(index); val vi = v.fold(0)(index)
+    if (ui < 0 || vi < 0) (Double.PositiveInfinity, false) else (w(at(ui, vi)), strict(at(ui, vi)))
   }
+
+  /** Does this closed, satisfiable system entail `np`? An edge `u − v ⊲ c`
+    * is entailed iff the closed bound is below `c`, or equals it and ⊲ is
+    * `≤` or the bound is strict. (An unsatisfiable system entails anything.)
+    */
+  def entails(np: NormPred): Boolean =
+    if (np.coefs.isEmpty) Dbm.holds(np)
+    else edges(np).forall { case (u, v, c, s) =>
+      u >= 0 && v >= 0 && { val i = at(u, v); w(i) < c || (w(i) == c && (!s || strict(i))) }
+    }
 }
 
 object Dbm {
+
+  /** Closures performed since start-up (tests assert the verifier's count). */
+  private[verifier] val closures = new AtomicLong
+
+  /** Truth of a conjunct with no columns, `c ⊲ 0`. */
+  private def holds(np: NormPred): Boolean = np.op match {
+    case NLt => np.const < 0
+    case NLe => np.const <= 0
+    case NEq => np.const == 0
+  }
+
   def apply(preds: Seq[NormPred]): Dbm = {
     val vars = preds.flatMap(_.cols).distinct.sortBy(c => (c.table, c.column)).toIndexedSeq
     val d = new Dbm(vars)
@@ -125,29 +145,19 @@ object DiffLogic {
 
   def satisfiable(preds: Seq[NormPred]): Boolean = !Dbm(preds).close().unsat
 
-  /** `preds ⟹ q` via UNSAT(preds ∧ ¬q). `¬(lin = 0)` splits into two
-    * strict checks.
-    */
+  /** `preds ⟹ q`, read from the closed bounds of `preds`. */
   def implies(preds: Seq[NormPred], q: NormPred): Boolean = {
-    import repro.core.ir.Canon
-    def unsatWith(extra: NormPred): Boolean = !satisfiable(preds :+ extra)
-    q.op match {
-      case NLt => unsatWith(Canon.toNorm(q.linForm.negate, NLe)) // ¬(l<0) ⇔ −l ≤ 0
-      case NLe => unsatWith(Canon.toNorm(q.linForm.negate, NLt)) // ¬(l≤0) ⇔ −l < 0
-      case NEq =>
-        unsatWith(Canon.toNorm(q.linForm, NLt)) &&
-        unsatWith(Canon.toNorm(q.linForm.negate, NLt))
-    }
+    val d = Dbm(preds).close()
+    d.unsat || d.entails(q)
   }
 
   /** Mutual implication of two conjunct sets (assumed over the same columns
     * after atom renaming).
     */
   def equivalent(p1: Seq[NormPred], p2: Seq[NormPred]): Boolean = {
-    val s1 = satisfiable(p1); val s2 = satisfiable(p2)
-    if (!s1 && !s2) true
-    else if (s1 != s2) false
-    else p2.forall(implies(p1, _)) && p1.forall(implies(p2, _))
+    val d1 = Dbm(p1).close(); val d2 = Dbm(p2).close()
+    if (d1.unsat || d2.unsat) d1.unsat && d2.unsat // equivalent iff both are
+    else p2.forall(d1.entails) && p1.forall(d2.entails)
   }
 
   /** Is conjunct `i` implied by the remaining conjuncts? */

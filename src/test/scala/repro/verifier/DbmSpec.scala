@@ -148,4 +148,77 @@ class DbmSpec extends AnyFunSuite {
     assert(DiffLogic.satisfiable(Seq(alwaysTrue)))
     assert(DiffLogic.implies(Seq(lt(x, 5)), alwaysTrue))
   }
+
+  test("bound on a column absent from the system is unconstrained") {
+    val d = Dbm(Seq(lt(x, 5), diff(x, Le, y, 2))).close()
+    assert(d.bound(Some(z), None) == ((Double.PositiveInfinity, false)))
+    assert(d.bound(None, Some(z)) == ((Double.PositiveInfinity, false)))
+    assert(d.bound(Some(x), Some(z)) == ((Double.PositiveInfinity, false)))
+    assert(d.bound(Some(x), None) == ((5.0, true)))
+  }
+
+  /** Reference: `preds ⟹ q` by refutation, UNSAT(preds ∧ ¬q), closing a
+    * fresh DBM per check; `¬(lin = 0)` splits into two strict checks.
+    */
+  private def refutes(preds: Seq[NormPred], q: NormPred): Boolean = {
+    def unsatWith(extra: NormPred): Boolean = !DiffLogic.satisfiable(preds :+ extra)
+    val l = Lin(q.coefs.toMap, q.const)
+    q.op match {
+      case NLt => unsatWith(Canon.toNorm(l.negate, NLe)) // ¬(l<0) ⇔ −l ≤ 0
+      case NLe => unsatWith(Canon.toNorm(l.negate, NLt)) // ¬(l≤0) ⇔ −l < 0
+      case NEq =>
+        unsatWith(Canon.toNorm(l, NLt)) && unsatWith(Canon.toNorm(l.negate, NLt))
+    }
+  }
+
+  test("implies agrees with refutation on random systems (differential)") {
+    val rng = new Random(29)
+    val w = ColRef("a2", "w") // never in a system, only in candidate conjuncts
+    val ops = Vector(Lt, Le, Eq, Gt, Ge)
+    // Small constants so that closed bounds often tie a candidate's constant.
+    def lit(): Scalar = Lit((rng.nextInt(7) - 3).toDouble)
+    def conjunct(cols: Vector[ColRef]): NormPred = {
+      val op = ops(rng.nextInt(ops.size))
+      rng.nextInt(6) match {
+        case 0 => Canon.normalize(Pred(lit(), op, lit())) // constant-only
+        case 1 | 2 => Canon.normalize(Pred(Col(cols(rng.nextInt(cols.size))), op, lit()))
+        case _ =>
+          val a = cols(rng.nextInt(cols.size))
+          val b = cols.filter(_ != a)(rng.nextInt(cols.size - 1))
+          Canon.normalize(Pred(Col(a), op, Add(Col(b), lit())))
+      }
+    }
+    var unsatSystems, strictnessDecides, absent, constOnly, implied = 0
+    for (iter <- 0 until 6000) {
+      val preds = Vector.fill(rng.nextInt(6))(conjunct(Vector(x, y, z)))
+      // Half the candidates sit exactly on a closed bound of the system,
+      // where only strictness decides.
+      val cols = Vector(Some(x), Some(y), Some(z), None)
+      val (u, v) = (cols(rng.nextInt(4)), cols(rng.nextInt(4)))
+      val (b, _) = Dbm(preds).close().bound(u, v)
+      val q =
+        if (u == v || b.isInfinity || rng.nextBoolean()) conjunct(Vector(x, y, z, w))
+        else Canon.toNorm(Lin((u.map(_ -> 1.0) ++ v.map(_ -> -1.0)).toMap, -b),
+                          Vector(NLt, NLe, NEq)(rng.nextInt(3)))
+      val expected = refutes(preds, q)
+      assert(DiffLogic.implies(preds, q) == expected, s"iter $iter: $preds ⟹ $q")
+      if (!DiffLogic.satisfiable(preds)) unsatSystems += 1
+      if (q.op != NEq && q.coefs.nonEmpty) {
+        val other = q.copy(op = if (q.op == NLt) NLe else NLt)
+        val otherExpected = refutes(preds, other)
+        assert(DiffLogic.implies(preds, other) == otherExpected, s"iter $iter: $other")
+        if (otherExpected != expected) strictnessDecides += 1
+      }
+      if (q.cols(w)) absent += 1
+      if (q.coefs.isEmpty) constOnly += 1
+      if (expected) implied += 1
+    }
+    info(s"$unsatSystems unsat systems, $strictnessDecides strictness ties, $absent absent-column " +
+      s"and $constOnly constant-only candidates, $implied implied")
+    // The sample exercises every case the lookup distinguishes.
+    assert(unsatSystems >= 500, s"$unsatSystems unsatisfiable systems")
+    assert(strictnessDecides >= 75, s"$strictnessDecides strictness-only ties")
+    assert(absent >= 300 && constOnly >= 300, s"absent $absent, constant-only $constOnly")
+    assert(implied >= 1000, s"$implied implied")
+  }
 }

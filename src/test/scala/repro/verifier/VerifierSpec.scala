@@ -104,6 +104,29 @@ class VerifierSpec extends AnyFunSuite {
     assert(av.equivalent(q1, q2))
   }
 
+  test("equivalent closes exactly two DBMs per call, however many bijections it tries") {
+    // A self-join of A (two candidate bijections) joined with B; q2 swaps
+    // the roles of the two A atoms, so the identity bijection fails.
+    def c(a: String, col: String): Scalar = Col(ColRef(a, col))
+    def plan(hi: String, lo: String) = {
+      val (p, q, r) = (Scan("A", "p", tblA), Scan("A", "q", tblA), Scan("B", "r", tblB))
+      Project(Seq(ColRef("r", "y")),
+        Filter(Pred(c(hi, "val"), Gt, Add(c(lo, "val"), Lit(3))),
+          Filter(Pred(c(lo, "x"), Lt, Lit(10)),
+            Filter(Pred(c("r", "val"), Gt, Lit(2)),
+              Join(Inner,
+                Join(Inner, p, q, Pred(c(hi, "joinKey"), Eq, c(lo, "joinKey"))),
+                r, Pred(c(hi, "joinKey"), Eq, c("r", "joinKey")))))))
+    }
+    val q1 = plan("p", "q")
+    val q2 = plan("q", "p")
+    assert(!DiffLogic.equivalent(Canon.flatten(q1).conjuncts, Canon.flatten(q2).conjuncts),
+      "the identity bijection must fail")
+    val before = Dbm.closures.get
+    assert(av.equivalent(q1, q2))
+    assert(Dbm.closures.get - before == 2)
+  }
+
   test("smtIters shim never changes the verdict") {
     val slow = new Verifier(smtIters = 25)
     assert(slow.equivalent(fig1Q1, fig1Q2) == av.equivalent(fig1Q1, fig1Q2))
